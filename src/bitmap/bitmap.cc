@@ -1,5 +1,6 @@
 #include "bitmap/bitmap.h"
 
+#include "bitmap/simd.h"
 #include "util/check.h"
 
 namespace colgraph {
@@ -35,9 +36,7 @@ void Bitmap::Fill() {
 }
 
 size_t Bitmap::Count() const {
-  size_t count = 0;
-  for (uint64_t w : words_) count += static_cast<size_t>(__builtin_popcountll(w));
-  return count;
+  return simd::CountWords(words_.data(), words_.size());
 }
 
 bool Bitmap::None() const {

@@ -1,5 +1,6 @@
 #include "bitmap/ewah_bitmap.h"
 
+#include "bitmap/simd.h"
 #include "util/check.h"
 
 namespace colgraph {
@@ -220,17 +221,21 @@ EwahBitmap EwahBitmap::And(const EwahBitmap& a, const EwahBitmap& b) {
 }
 
 size_t EwahBitmap::Count() const {
+  // Fill words may set padding bits past num_bits_; when padding exists,
+  // count exactly via decompression.
+  if (num_bits_ % Bitmap::kWordBits != 0) return ToBitmap().Count();
+  // Fill runs count arithmetically; each group's literal words are one
+  // contiguous slice of the buffer, counted by the popcount kernel.
   size_t count = 0;
-  ForEachWord([&](uint64_t w) {
-    count += static_cast<size_t>(__builtin_popcountll(w));
-  });
-  // Fill words may have set padding bits past num_bits_; subtract them.
-  const size_t padded_bits =
-      ((num_bits_ + Bitmap::kWordBits - 1) / Bitmap::kWordBits) *
-      Bitmap::kWordBits;
-  if (padded_bits != num_bits_) {
-    // Recount exactly via decompression only when padding could matter.
-    return ToBitmap().Count();
+  size_t i = 0;
+  while (i < buffer_.size()) {
+    const uint64_t marker = buffer_[i++];
+    if (MarkerRunBit(marker)) {
+      count += static_cast<size_t>(MarkerRunWords(marker)) * Bitmap::kWordBits;
+    }
+    const auto literal_words = static_cast<size_t>(MarkerLiteralWords(marker));
+    count += simd::CountWords(buffer_.data() + i, literal_words);
+    i += literal_words;
   }
   return count;
 }

@@ -17,14 +17,6 @@ uint32_t RunFirst(uint32_t run) { return run & 0xFFFFu; }
 uint32_t RunLast(uint32_t run) { return run >> 16; }
 uint32_t MakeRun(uint32_t first, uint32_t last) { return first | (last << 16); }
 
-uint32_t PopcountWords(const uint64_t* words, size_t n) {
-  uint64_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    total += static_cast<uint64_t>(__builtin_popcountll(words[i]));
-  }
-  return static_cast<uint32_t>(total);
-}
-
 /// Sorted-uint16 intersection; gallops (exponential probe + binary search)
 /// when one side is much smaller, linear merge otherwise.
 std::vector<uint16_t> IntersectArrays(const std::vector<uint16_t>& a,
@@ -193,17 +185,10 @@ HybridBitmap HybridBitmap::FromBitmap(const Bitmap& bits) {
   for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
     const size_t word_begin = chunk * kChunkWords;
     const size_t word_end = std::min(word_begin + kChunkWords, words.size());
-    uint32_t card = 0;
-    uint32_t num_runs = 0;
-    bool prev_bit = false;
-    for (size_t w = word_begin; w < word_end; ++w) {
-      const uint64_t word = words[w];
-      card += static_cast<uint32_t>(__builtin_popcountll(word));
-      // Run starts are 0->1 transitions; carry the top bit across words.
-      const uint64_t shifted = (word << 1) | (prev_bit ? uint64_t{1} : 0);
-      num_runs += static_cast<uint32_t>(__builtin_popcountll(word & ~shifted));
-      prev_bit = (word >> (kWordBits - 1)) != 0;
-    }
+    const simd::BitsAndRuns stats =
+        simd::CountBitsAndRuns(words.data() + word_begin, word_end - word_begin);
+    const auto card = static_cast<uint32_t>(stats.bits);
+    const auto num_runs = static_cast<uint32_t>(stats.runs);
     if (card == 0) continue;
 
     // Enumerate the chunk's set bits once; both the array and the run
@@ -297,7 +282,8 @@ bool HybridBitmap::Test(size_t pos) const {
 }
 
 HybridBitmap::Container HybridBitmap::FinishBitset(std::vector<uint64_t> words) {
-  const uint32_t card = PopcountWords(words.data(), words.size());
+  const auto card =
+      static_cast<uint32_t>(simd::CountWords(words.data(), words.size()));
   if (card <= kArrayMaxCardinality) {
     Container c;
     c.type = ContainerType::kArray;
@@ -724,7 +710,7 @@ StatusOr<HybridBitmap> HybridBitmap::FromRawChecked(
         c.bitset.assign(buffer.begin() + static_cast<std::ptrdiff_t>(pos),
                         buffer.begin() +
                             static_cast<std::ptrdiff_t>(pos + kChunkWords));
-        if (PopcountWords(c.bitset.data(), c.bitset.size()) != card) {
+        if (simd::CountWords(c.bitset.data(), c.bitset.size()) != card) {
           return corrupt("bitset popcount does not match cardinality");
         }
         if (chunk_bits < kChunkBits) {

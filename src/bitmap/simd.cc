@@ -14,6 +14,52 @@ namespace {
 
 std::atomic<bool> g_force_scalar{false};
 
+// The COLGRAPH_NO_SIMD kill switch, read once per process. The sanitizer
+// CI legs set it to sanitize the portable kernels on hardware that would
+// otherwise always take the dispatched ones.
+[[maybe_unused]] bool SimdDisabledByEnv() {
+  static const bool disabled = std::getenv("COLGRAPH_NO_SIMD") != nullptr;
+  return disabled;
+}
+
+// Popcount loop bodies. Inlined into a portable wrapper and into a
+// COLGRAPH_POPCNT_TARGET wrapper, where __builtin_popcountll becomes one
+// POPCNT instruction instead of a libgcc call.
+[[gnu::always_inline]] inline size_t CountWordsBody(const uint64_t* words,
+                                                    size_t n) {
+  size_t count = 0;
+  for (size_t i = 0; i < n; ++i) {
+    count += static_cast<size_t>(__builtin_popcountll(words[i]));
+  }
+  return count;
+}
+
+[[gnu::always_inline]] inline uint32_t RankPrefixBody(const uint64_t* words,
+                                                      size_t n,
+                                                      uint32_t* prefix) {
+  uint32_t cum = 0;
+  for (size_t i = 0; i < n; ++i) {
+    prefix[i] = cum;
+    cum += static_cast<uint32_t>(__builtin_popcountll(words[i]));
+  }
+  return cum;
+}
+
+[[gnu::always_inline]] inline BitsAndRuns CountBitsAndRunsBody(
+    const uint64_t* words, size_t n) {
+  BitsAndRuns out;
+  uint64_t carry = 0;  // top bit of the previous word
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t word = words[i];
+    out.bits += static_cast<size_t>(__builtin_popcountll(word));
+    // Run starts are set bits whose predecessor bit is clear.
+    out.runs += static_cast<size_t>(
+        __builtin_popcountll(word & ~((word << 1) | carry)));
+    carry = word >> 63;
+  }
+  return out;
+}
+
 void AndWordsScalar(uint64_t* dst, const uint64_t* src, size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] &= src[i];
 }
@@ -59,13 +105,9 @@ __attribute__((target("avx2"))) void OrWordsAvx2(uint64_t* dst,
 }
 
 bool CpuAllowsAvx2() {
-  // One probe per process: CPU capability plus the COLGRAPH_NO_SIMD kill
-  // switch, which the sanitizer CI legs set to sanitize the scalar kernels
-  // on hardware that would otherwise always take the AVX2 path.
-  static const bool allowed = [] {
-    if (std::getenv("COLGRAPH_NO_SIMD") != nullptr) return false;
-    return __builtin_cpu_supports("avx2") != 0;
-  }();
+  // One probe per process: CPU capability plus the kill switch.
+  static const bool allowed =
+      !SimdDisabledByEnv() && __builtin_cpu_supports("avx2") != 0;
   return allowed;
 }
 
@@ -75,10 +117,43 @@ bool CpuAllowsAvx2() { return false; }
 
 #endif  // COLGRAPH_HAVE_AVX2_TARGET
 
+#if defined(COLGRAPH_HAVE_POPCNT_TARGET)
+
+COLGRAPH_POPCNT_TARGET size_t CountWordsPopcnt(const uint64_t* words,
+                                               size_t n) {
+  return CountWordsBody(words, n);
+}
+
+COLGRAPH_POPCNT_TARGET uint32_t RankPrefixPopcnt(const uint64_t* words,
+                                                 size_t n, uint32_t* prefix) {
+  return RankPrefixBody(words, n, prefix);
+}
+
+COLGRAPH_POPCNT_TARGET BitsAndRuns CountBitsAndRunsPopcnt(
+    const uint64_t* words, size_t n) {
+  return CountBitsAndRunsBody(words, n);
+}
+
+bool CpuAllowsPopcnt() {
+  static const bool allowed =
+      !SimdDisabledByEnv() && __builtin_cpu_supports("popcnt") != 0;
+  return allowed;
+}
+
+#else
+
+bool CpuAllowsPopcnt() { return false; }
+
+#endif  // COLGRAPH_HAVE_POPCNT_TARGET
+
 }  // namespace
 
 bool UsingAvx2() {
   return CpuAllowsAvx2() && !g_force_scalar.load(std::memory_order_relaxed);
+}
+
+bool UsingHardwarePopcount() {
+  return CpuAllowsPopcnt() && !g_force_scalar.load(std::memory_order_relaxed);
 }
 
 void SetForceScalarForTest(bool force) {
@@ -103,6 +178,27 @@ void OrWords(uint64_t* dst, const uint64_t* src, size_t n) {
   }
 #endif
   OrWordsScalar(dst, src, n);
+}
+
+size_t CountWords(const uint64_t* words, size_t n) {
+#if defined(COLGRAPH_HAVE_POPCNT_TARGET)
+  if (UsingHardwarePopcount()) return CountWordsPopcnt(words, n);
+#endif
+  return CountWordsBody(words, n);
+}
+
+uint32_t RankPrefix(const uint64_t* words, size_t n, uint32_t* prefix) {
+#if defined(COLGRAPH_HAVE_POPCNT_TARGET)
+  if (UsingHardwarePopcount()) return RankPrefixPopcnt(words, n, prefix);
+#endif
+  return RankPrefixBody(words, n, prefix);
+}
+
+BitsAndRuns CountBitsAndRuns(const uint64_t* words, size_t n) {
+#if defined(COLGRAPH_HAVE_POPCNT_TARGET)
+  if (UsingHardwarePopcount()) return CountBitsAndRunsPopcnt(words, n);
+#endif
+  return CountBitsAndRunsBody(words, n);
 }
 
 }  // namespace colgraph::simd

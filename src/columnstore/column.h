@@ -17,6 +17,8 @@
 
 namespace colgraph {
 
+class AggAccumulator;
+
 /// \brief A bitmap column with O(1) rank support.
 ///
 /// Rank(r) = number of set bits strictly before position r; it is the index
@@ -79,6 +81,9 @@ class BitmapColumn {
   }
 
  private:
+  // The select kernels read the words and the rank directory directly.
+  friend class MeasureColumn;
+
   Bitmap bits_;
   std::vector<uint32_t> rank_;  // cumulative popcount before each word
   // Hybrid sidecar (shared_ptr keeps columns cheaply copyable); null for
@@ -119,8 +124,26 @@ class MeasureColumn {
     presence_.ChooseEncoding(hybrid_enabled);
   }
 
-  /// Value of `record`, or nullopt when NULL. Requires sealed().
+  /// Value of `record`, or nullopt when NULL. Requires sealed(). One cell
+  /// at a time; fetches and folds over many records use Gather/FoldInto.
   std::optional<double> Get(size_t record) const;
+
+  // Select-by-bitmap kernels (DESIGN.md, "Measure fetch kernel"). Both walk
+  // `n` record ids in ascending order, each rebased by `base` (a tail
+  // dataset's global offset; 0 for the primary relation), so that
+  // records[i] - base indexes this column. Per record they read the
+  // presence word once and compute the packed-value index inline as
+  // rank[word] + popcount(word & bits-below). Require sealed().
+
+  /// out[i] = value of record records[i] - base, or NaN when NULL.
+  void Gather(const uint64_t* records, size_t n, size_t base,
+              double* out) const;
+
+  /// Folds the value of record records[i] - base into accs[i]: Add() when
+  /// `view_elements` is 0 (an atomic measure), else Merge(value,
+  /// view_elements) (an aggregate-view segment). NULL leaves accs[i] as is.
+  void FoldInto(const uint64_t* records, size_t n, size_t base,
+                size_t view_elements, AggAccumulator* accs) const;
 
   /// Packed value by rank (for scans that already know the rank).
   double ValueAtRank(size_t rank) const { return values_[rank]; }

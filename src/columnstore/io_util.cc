@@ -97,11 +97,12 @@ void Writer::WriteBitmap(const BitmapColumn& col) {
 
 void Writer::WriteMeasureColumn(const MeasureColumn& col) {
   WriteBitmap(col.presence());
+  // The packed values are already in record order, one per set bit.
   std::vector<double> values;
   values.reserve(col.num_values());
-  col.presence().bits().ForEachSetBit([&](size_t r) {
-    values.push_back(col.ValueAtRank(col.presence().Rank(r)));
-  });
+  for (size_t r = 0; r < col.num_values(); ++r) {
+    values.push_back(col.ValueAtRank(r));
+  }
   WriteVec(values);
 }
 

@@ -15,51 +15,94 @@ namespace colgraph {
 
 namespace {
 
-// The aggregate fold visits every (path, record) pair; the token is polled
-// every kCancelCheckStride records so a fired deadline abandons the fold
-// within a bounded number of accumulator steps while keeping the poll off
-// the per-record hot path.
+// The aggregate fold runs column-at-a-time over chunks of at most
+// kCancelCheckStride records, and polls the token before each chunk: a
+// fired deadline abandons the fold within a bounded number of accumulator
+// steps while keeping the poll off the per-record hot path.
 constexpr size_t kCancelCheckStride = 4096;
 
 }  // namespace
 
-std::vector<QueryEngine::TailFold> QueryEngine::TailFoldColumns(
-    const std::vector<EdgeId>& elements) const {
-  std::vector<TailFold> out;
+std::vector<QueryEngine::FoldSegment> QueryEngine::FoldSegments(
+    const std::vector<EdgeId>& elements, const PathPlan& plan) const {
+  std::vector<FoldSegment> out;
+  out.reserve(1 + (HasTails() ? tails_->size() : 0));
+  FoldSegment primary;
+  primary.num = relation_->num_records();
+  // An element only tail datasets know means no primary record matches the
+  // path (the primary has no column for it), so the primary's segment
+  // columns are never consulted — and must not be fetched out of range.
+  const bool primary_covers_path =
+      !HasTails() ||
+      std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
+        return e < relation_->num_edge_columns();
+      });
+  if (primary_covers_path) {
+    primary.columns.reserve(plan.segments.size());
+    for (const PathSegment& seg : plan.segments) {
+      const MeasureColumn& col =
+          seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
+                      : relation_->FetchMeasureColumn(seg.atom);
+      primary.columns.push_back({&col, seg.is_view ? seg.num_elements : 0});
+    }
+  }
+  primary.values_per_record = primary.columns.size();
+  out.push_back(std::move(primary));
   if (!HasTails()) return out;
-  out.reserve(tails_->size());
   for (const RelationSegment& seg : *tails_) {
-    TailFold fold;
+    // Tail records fold atomically, element by element in path order —
+    // views cover the primary store only (DESIGN.md §14). An element the
+    // tail never saw is NULL for all its records, but still counts as a
+    // fetched value, like a NULL cell does.
+    FoldSegment fold;
     fold.base = seg.base;
     fold.num = seg.relation->num_records();
-    fold.columns.reserve(elements.size());
+    fold.values_per_record = elements.size();
     for (const EdgeId e : elements) {
-      fold.columns.push_back(e < seg.relation->num_edge_columns()
-                                 ? &seg.relation->FetchMeasureColumn(e)
-                                 : nullptr);
+      if (e < seg.relation->num_edge_columns()) {
+        fold.columns.push_back({&seg.relation->FetchMeasureColumn(e), 0});
+      }
     }
     out.push_back(std::move(fold));
   }
   return out;
 }
 
-bool QueryEngine::FoldTail(const std::vector<TailFold>& tails, AggFn fn,
-                           RecordId r, double* out) const {
-  for (const TailFold& t : tails) {
-    if (r < t.base || r >= t.base + t.num) continue;
-    // Tail records fold atomically, element by element in path order —
-    // views cover the primary store only (DESIGN.md §14).
-    AggAccumulator acc(fn);
-    for (const MeasureColumn* col : t.columns) {
-      if (col == nullptr) continue;
-      const auto v = col->Get(r - t.base);
-      if (v.has_value()) acc.Add(*v);
+Status QueryEngine::FoldPath(const std::vector<RecordId>& records, AggFn fn,
+                             const std::vector<FoldSegment>& segments,
+                             const CancellationToken* cancel,
+                             std::vector<double>* out) const {
+  out->clear();
+  out->reserve(records.size());
+  FetchStats& stats = relation_->stats();
+  std::vector<AggAccumulator> accs;
+  size_t row = 0;
+  // Records ascend and segments are contiguous ascending id ranges, so
+  // each segment owns one run of rows.
+  for (const FoldSegment& seg : segments) {
+    const size_t seg_end = seg.base + seg.num;
+    while (row < records.size() && records[row] < seg_end) {
+      COLGRAPH_RETURN_NOT_OK(CheckCancellation(cancel));
+      size_t n = 0;
+      while (n < kCancelCheckStride && row + n < records.size() &&
+             records[row + n] < seg_end) {
+        ++n;
+      }
+      accs.assign(n, AggAccumulator(fn));
+      // Column-at-a-time, columns in path order: each record still folds
+      // its segments in path order, so results are bit-identical to a
+      // record-at-a-time fold.
+      for (const FoldColumn& col : seg.columns) {
+        col.column->FoldInto(records.data() + row, n, seg.base,
+                             col.view_elements, accs.data());
+      }
+      for (const AggAccumulator& acc : accs) out->push_back(acc.Result());
+      stats.values_fetched += n * seg.values_per_record;
+      row += n;
     }
-    relation_->stats().values_fetched += t.columns.size();
-    *out = acc.Result();
-    return true;
   }
-  return false;
+  COLGRAPH_DCHECK_EQ(row, records.size());
+  return Status::OK();
 }
 
 StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
@@ -91,52 +134,12 @@ StatusOr<PathAggResult> QueryEngine::AggregateAlongPath(
   const ViewCatalog* views = options.use_views ? views_ : nullptr;
   const PathPlan plan = PlanPathAggregation(elements, fn, views);
 
-  // An element only tail datasets know means no primary record matches the
-  // path (the primary has no column for it), so the primary's segment
-  // columns are never consulted — and must not be fetched out of range.
-  const bool primary_covers_path =
-      !HasTails() ||
-      std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
-        return e < relation_->num_edge_columns();
-      });
-  std::vector<std::pair<const MeasureColumn*, size_t>> segment_columns;
-  if (primary_covers_path) {
-    segment_columns.reserve(plan.segments.size());
-    for (const PathSegment& seg : plan.segments) {
-      const MeasureColumn& col =
-          seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
-                      : relation_->FetchMeasureColumn(seg.atom);
-      segment_columns.emplace_back(&col, seg.is_view ? seg.num_elements : 0);
-    }
-  }
-  const std::vector<TailFold> tail_folds = TailFoldColumns(elements);
+  const std::vector<FoldSegment> segments = FoldSegments(elements, plan);
 
   const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
   std::vector<double> values;
-  values.reserve(result.records.size());
-  size_t folded = 0;
-  for (RecordId r : result.records) {
-    if (++folded % kCancelCheckStride == 0) {
-      COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
-    }
-    double tail_value = 0;
-    if (FoldTail(tail_folds, fn, r, &tail_value)) {
-      values.push_back(tail_value);
-      continue;
-    }
-    AggAccumulator acc(fn);
-    for (const auto& [col, view_elements] : segment_columns) {
-      const auto v = col->Get(r);
-      if (!v.has_value()) continue;
-      if (view_elements > 0) {
-        acc.Merge(*v, view_elements);
-      } else {
-        acc.Add(*v);
-      }
-    }
-    relation_->stats().values_fetched += segment_columns.size();
-    values.push_back(acc.Result());
-  }
+  COLGRAPH_RETURN_NOT_OK(
+      FoldPath(result.records, fn, segments, options.cancel, &values));
   result.values.push_back(std::move(values));
   return result;
 }
@@ -206,7 +209,6 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
   const AggFn stored_fn = fn;  // plans match on the query's function
 
   const obs::Span agg_span(obs::QueryPhase::kAggregate, options.trace);
-  size_t folded = 0;
   for (const Path& path : result.paths) {
     COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
     // Catalog-resolvable elements of the path, in path order. Elements
@@ -220,62 +222,24 @@ StatusOr<PathAggResult> QueryEngine::RunAggregateQueryImpl(
 
     const PathPlan plan = PlanPathAggregation(elements, stored_fn, views);
 
-    // Resolve the plan's columns once; accounting counts one measure-column
-    // fetch per segment — the cost reduction the views exist to provide.
-    // Skipped when an element exists only in tail datasets: no primary
-    // record can match the query then, so the primary columns (which do
-    // not extend that far) are never consulted.
-    struct SegmentColumn {
-      const MeasureColumn* column;
-      bool is_view;
-      size_t num_elements;
-    };
-    const bool primary_covers_path =
-        !HasTails() ||
-        std::all_of(elements.begin(), elements.end(), [&](EdgeId e) {
-          return e < relation_->num_edge_columns();
-        });
-    std::vector<SegmentColumn> segment_columns;
-    if (primary_covers_path) {
-      segment_columns.reserve(plan.segments.size());
-      for (const PathSegment& seg : plan.segments) {
-        const MeasureColumn& col =
-            seg.is_view ? relation_->FetchAggregateView(seg.agg_view_column)
-                        : relation_->FetchMeasureColumn(seg.atom);
-        segment_columns.push_back({&col, seg.is_view, seg.num_elements});
-        if (seg.is_view && path_views_out != nullptr) {
-          path_views_out->push_back(
-              static_cast<uint32_t>(seg.agg_view_column));
+    // Accounting counts one measure-column fetch per segment — the cost
+    // reduction the views exist to provide.
+    const std::vector<FoldSegment> segments = FoldSegments(elements, plan);
+    if (!segments.front().columns.empty()) {
+      ++relation_->stats().partitions_touched;
+      if (path_views_out != nullptr) {
+        for (const PathSegment& seg : plan.segments) {
+          if (seg.is_view) {
+            path_views_out->push_back(
+                static_cast<uint32_t>(seg.agg_view_column));
+          }
         }
       }
-      if (!plan.segments.empty()) ++relation_->stats().partitions_touched;
     }
-    const std::vector<TailFold> tail_folds = TailFoldColumns(elements);
 
     std::vector<double> values;
-    values.reserve(result.records.size());
-    for (RecordId r : result.records) {
-      if (++folded % kCancelCheckStride == 0) {
-        COLGRAPH_RETURN_NOT_OK(CheckCancellation(options.cancel));
-      }
-      double tail_value = 0;
-      if (FoldTail(tail_folds, fn, r, &tail_value)) {
-        values.push_back(tail_value);
-        continue;
-      }
-      AggAccumulator acc(fn);
-      for (const SegmentColumn& seg : segment_columns) {
-        const auto v = seg.column->Get(r);
-        if (!v.has_value()) continue;  // record lacks this optional element
-        if (seg.is_view) {
-          acc.Merge(*v, seg.num_elements);
-        } else {
-          acc.Add(*v);
-        }
-      }
-      relation_->stats().values_fetched += segment_columns.size();
-      values.push_back(acc.Result());
-    }
+    COLGRAPH_RETURN_NOT_OK(
+        FoldPath(result.records, fn, segments, options.cancel, &values));
     result.values.push_back(std::move(values));
   }
   return result;

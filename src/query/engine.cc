@@ -270,11 +270,9 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
       for (size_t i = 0; i < edges.size(); ++i) {
         // A column the segment never grew stays NULL for its records.
         if (edges[i] >= seg.rel->num_edge_columns()) continue;
-        const MeasureColumn& col = seg.rel->FetchMeasureColumn(edges[i]);
-        for (size_t r = first; r < row; ++r) {
-          const auto v = col.Get(table.records[r] - seg.base);
-          if (v.has_value()) table.columns[i][r] = *v;
-        }
+        seg.rel->FetchMeasureColumn(edges[i]).Gather(
+            table.records.data() + first, row - first, seg.base,
+            table.columns[i].data() + first);
         stats.values_fetched += row - first;
       }
     }
@@ -289,19 +287,19 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
   FetchStats& stats = relation_->stats();
   stats.partitions_touched += by_partition.size();
 
-  constexpr double kNull = std::numeric_limits<double>::quiet_NaN();
+  // Gathers one column for every record of `records` (NaN when NULL).
+  auto gather = [&](EdgeId edge, const std::vector<RecordId>& records,
+                    std::vector<double>* out) {
+    out->resize(records.size());
+    relation_->FetchMeasureColumn(edge).Gather(records.data(), records.size(),
+                                               0, out->data());
+    stats.values_fetched += records.size();
+  };
 
   if (by_partition.size() <= 1) {
     // Single sub-relation: gather straight into the result columns.
     for (size_t i = 0; i < edges.size(); ++i) {
-      const MeasureColumn& col = relation_->FetchMeasureColumn(edges[i]);
-      auto& out = table.columns[i];
-      out.reserve(table.records.size());
-      for (RecordId r : table.records) {
-        const auto v = col.Get(r);
-        out.push_back(v.has_value() ? *v : kNull);
-      }
-      stats.values_fetched += table.records.size();
+      gather(edges[i], table.records, &table.columns[i]);
     }
     return table;
   }
@@ -325,23 +323,13 @@ MeasureTable QueryEngine::FetchMeasures(const Bitmap& matches,
     part.column_slots = slots;
     part.columns.resize(slots.size());
     for (size_t s = 0; s < slots.size(); ++s) {
-      const MeasureColumn& col =
-          relation_->FetchMeasureColumn(edges[slots[s]]);
-      auto& out = part.columns[s];
-      out.reserve(part.records.size());
-      for (RecordId r : part.records) {
-        const auto v = col.Get(r);
-        out.push_back(v.has_value() ? *v : kNull);
-      }
-      stats.values_fetched += part.records.size();
+      gather(edges[slots[s]], part.records, &part.columns[s]);
     }
     partials.push_back(std::move(part));
   }
   // Merge join: all partials share the match list, so the join key
   // sequences are identical; copy each partial's columns into place.
-  for (size_t p = 1; p < partials.size(); ++p) {
-    ++stats.partition_joins;
-  }
+  stats.partition_joins += partials.size() - 1;
   for (Partial& part : partials) {
     for (size_t s = 0; s < part.column_slots.size(); ++s) {
       table.columns[part.column_slots[s]] = std::move(part.columns[s]);

@@ -213,21 +213,33 @@ class QueryEngine {
   Bitmap MatchIdsInTail(const MasterRelation& tail,
                         const std::vector<EdgeId>& ids) const;
 
-  /// One tail's fold inputs for a path: `columns[i]` is the tail's column
-  /// for the path's i-th measurable element (nullptr when the tail never
-  /// saw that element).
-  struct TailFold {
+  /// One column of a path fold: an atomic measure (view_elements == 0) or
+  /// an aggregate-view segment covering view_elements measures.
+  struct FoldColumn {
+    const MeasureColumn* column = nullptr;
+    size_t view_elements = 0;
+  };
+  /// One store's fold inputs for a path: the records [base, base + num)
+  /// fold `columns` in path order and count values_per_record fetched
+  /// values each (NULL cells and columns a tail never grew included).
+  struct FoldSegment {
     size_t base = 0;
     size_t num = 0;
-    std::vector<const MeasureColumn*> columns;
+    std::vector<FoldColumn> columns;
+    size_t values_per_record = 0;
   };
-  std::vector<TailFold> TailFoldColumns(
-      const std::vector<EdgeId>& elements) const;
-  /// If global record `r` lives in a tail, folds `fn` over the tail's
-  /// atomic element columns into *out and returns true; false means `r`
-  /// belongs to the primary relation.
-  bool FoldTail(const std::vector<TailFold>& tails, AggFn fn, RecordId r,
-                double* out) const;
+  /// The primary store's segment (the plan's view and atomic columns; none
+  /// when a path element exists only in tails), then one atomic segment
+  /// per tail dataset.
+  std::vector<FoldSegment> FoldSegments(const std::vector<EdgeId>& elements,
+                                        const PathPlan& plan) const;
+  /// Folds `fn` for every record of `records` (ascending global ids) into
+  /// *out, one value per record, column-at-a-time through
+  /// MeasureColumn::FoldInto. Polls `cancel` every few thousand records.
+  [[nodiscard]] Status FoldPath(const std::vector<RecordId>& records, AggFn fn,
+                                const std::vector<FoldSegment>& segments,
+                                const CancellationToken* cancel,
+                                std::vector<double>* out) const;
 
   const Bitmap& FetchSource(const BitmapSource& source) const;
   /// A fetched source under both encodings: `plain` is always valid;

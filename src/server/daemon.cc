@@ -327,6 +327,12 @@ Status Daemon::ReadRequest(UnixSocket* socket, Request* request,
     if (ready.ok()) break;
     if (!ready.IsDeadlineExceeded()) return ready;
   }
+  // EOF is readable too: a peer that closed at a request boundary ends
+  // the connection here, before a decode span opens for a request that
+  // never came.
+  if (socket->PeerClosed()) {
+    return Status::Unavailable("connection closed by peer");
+  }
 
   // The request begins now: re-anchor the context so keep-alive idle time
   // is excluded, then let the first request on the connection absorb the

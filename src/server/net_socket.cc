@@ -216,6 +216,19 @@ Status UnixSocket::WaitReadable(uint64_t timeout_ms) {
   return PollFor(fd_, POLLIN, timeout_ms);
 }
 
+bool UnixSocket::PeerClosed() {
+  if (!valid()) return true;
+  char byte = 0;
+  for (;;) {
+    const ssize_t rc = ::recv(fd_, &byte, 1, MSG_PEEK | MSG_DONTWAIT);
+    if (rc > 0) return false;
+    if (rc == 0) return true;
+    if (errno == EINTR) continue;
+    // Nothing pending, or an error the next ReadFull reports itself.
+    return errno == ECONNRESET;
+  }
+}
+
 UnixListener::UnixListener(UnixListener&& other) noexcept
     : fd_(other.fd_), path_(std::move(other.path_)) {
   other.fd_ = -1;

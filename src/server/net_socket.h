@@ -72,6 +72,12 @@ class UnixSocket {
   /// interrupt a connection that is merely being kept alive.
   [[nodiscard]] Status WaitReadable(uint64_t timeout_ms);
 
+  /// Non-blocking peek: true when the peer has closed (or reset) the
+  /// connection with no unread byte pending. Lets a request loop tell a
+  /// clean close at a request boundary from the start of a request
+  /// before it opens any per-request span.
+  bool PeerClosed();
+
   int fd() const { return fd_; }
 
  private:

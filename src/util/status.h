@@ -134,7 +134,11 @@ class [[nodiscard]] StatusOr {
   StatusOr(Status status) : status_(std::move(status)) {}  // NOLINT implicit
 
   bool ok() const { return value_.has_value(); }
-  const Status& status() const { return status_; }
+  const Status& status() const& { return status_; }
+  /// On a temporary, by value: a reference into the dying StatusOr would
+  /// dangle once the full expression ends (e.g. bound to the auto&& in
+  /// COLGRAPH_CHECK_OK(MakeThing().status())).
+  Status status() && { return std::move(status_); }
 
   T& value() & {
     COLGRAPH_DCHECK(ok()) << status().ToString();

@@ -1,5 +1,7 @@
 #include "views/materializer.h"
 
+#include <algorithm>
+
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/agg_fn.h"
@@ -67,35 +69,44 @@ StatusOr<size_t> MaterializeGraphView(const GraphViewDef& def,
 
 namespace {
 
+// Appends the stored per-record value of the aggregate view `def` — for
+// AVG the SUM sub-aggregate (the count is def.elements.size(), known
+// statically), otherwise F itself — for every record of `bp` at or after
+// `first_record`. bp is the AND of the elements' presences, so no cell is
+// NULL. The fold runs column-at-a-time over bounded chunks of records,
+// elements in order, so each record folds exactly as one Add per element.
+void AppendAggValues(const AggViewDef& def, const MasterRelation& relation,
+                     const Bitmap& bp, size_t first_record,
+                     std::vector<double>* values) {
+  constexpr size_t kChunk = 4096;
+  const AggFn stored_fn = def.fn == AggFn::kAvg ? AggFn::kSum : def.fn;
+  std::vector<uint64_t> records;
+  bp.AppendSetBits(&records);
+  size_t row = static_cast<size_t>(
+      std::lower_bound(records.begin(), records.end(), first_record) -
+      records.begin());
+  std::vector<AggAccumulator> accs;
+  while (row < records.size()) {
+    const size_t n = std::min(kChunk, records.size() - row);
+    accs.assign(n, AggAccumulator(stored_fn));
+    for (EdgeId id : def.elements) {
+      relation.PeekMeasureColumn(id).FoldInto(records.data() + row, n, 0,
+                                              /*view_elements=*/0,
+                                              accs.data());
+    }
+    for (const AggAccumulator& acc : accs) values->push_back(acc.Result());
+    row += n;
+  }
+}
+
 // Computes the (mp) column of an aggregate view from the base columns.
 StatusOr<MeasureColumn> ComputeAggColumn(const AggViewDef& def,
                                          const MasterRelation& relation) {
-  const Bitmap bp = ConjunctionBitmap(def.elements, relation);
-  // The stored per-record value: for AVG the SUM sub-aggregate (count is
-  // def.elements.size(), known statically); otherwise F itself.
-  const AggFn stored_fn = def.fn == AggFn::kAvg ? AggFn::kSum : def.fn;
-
-  std::vector<const MeasureColumn*> columns;
-  columns.reserve(def.elements.size());
-  for (EdgeId id : def.elements) {
-    columns.push_back(&relation.PeekMeasureColumn(id));
-  }
-
-  MeasureColumn mp;
-  Status status = Status::OK();
-  bp.ForEachSetBit([&](size_t record) {
-    if (!status.ok()) return;
-    AggAccumulator acc(stored_fn);
-    for (const MeasureColumn* col : columns) {
-      const auto value = col->Get(record);
-      // bp is the AND of the presences, so every element is non-NULL here.
-      acc.Add(*value);
-    }
-    status = mp.Append(record, acc.Result());
-  });
-  COLGRAPH_RETURN_NOT_OK(status);
-  mp.Seal(relation.num_records());
-  return mp;
+  Bitmap bp = ConjunctionBitmap(def.elements, relation);
+  std::vector<double> values;
+  values.reserve(bp.Count());
+  AppendAggValues(def, relation, bp, 0, &values);
+  return MeasureColumn::FromParts(std::move(bp), std::move(values));
 }
 
 }  // namespace
@@ -257,14 +268,7 @@ Status RefreshViewsIncremental(MasterRelation* relation,
   for (const auto& [def, index] : catalog.agg_views()) {
     COLGRAPH_RETURN_NOT_OK(ValidateIds(def.elements, *relation));
     const MeasureColumn& old_mp = relation->PeekAggregateView(index);
-    const Bitmap bp = ConjunctionBitmap(def.elements, *relation);
-    const AggFn stored_fn = def.fn == AggFn::kAvg ? AggFn::kSum : def.fn;
-
-    std::vector<const MeasureColumn*> columns;
-    columns.reserve(def.elements.size());
-    for (EdgeId id : def.elements) {
-      columns.push_back(&relation->PeekMeasureColumn(id));
-    }
+    Bitmap bp = ConjunctionBitmap(def.elements, *relation);
 
     // Old packed values carry over verbatim (records < first_new_record
     // are immutable); only the appended range is aggregated.
@@ -273,16 +277,10 @@ Status RefreshViewsIncremental(MasterRelation* relation,
     for (size_t r = 0; r < old_mp.num_values(); ++r) {
       values.push_back(old_mp.ValueAtRank(r));
     }
-    Status status = Status::OK();
-    bp.ForEachSetBit([&](size_t record) {
-      if (!status.ok() || record < first_new_record) return;
-      AggAccumulator acc(stored_fn);
-      for (const MeasureColumn* col : columns) acc.Add(*col->Get(record));
-      values.push_back(acc.Result());
-    });
-    COLGRAPH_RETURN_NOT_OK(status);
-    COLGRAPH_ASSIGN_OR_RETURN(MeasureColumn mp,
-                              MeasureColumn::FromParts(bp, std::move(values)));
+    AppendAggValues(def, *relation, bp, first_new_record, &values);
+    COLGRAPH_ASSIGN_OR_RETURN(
+        MeasureColumn mp, MeasureColumn::FromParts(std::move(bp),
+                                                   std::move(values)));
     relation->ReplaceAggregateView(index, std::move(mp));
   }
   return Status::OK();

@@ -8,13 +8,18 @@
 // serialized round-trip of both compressed codecs. The whole sequence runs
 // twice — once per SIMD dispatch mode — so the AVX2 and scalar kernels are
 // differentially tested against each other as well as against the oracle.
+// The popcount word kernels and the measure-column select kernels
+// (MeasureColumn::Gather / FoldInto) are checked the same way, in both
+// modes, against per-bit and per-cell (MeasureColumn::Get) references.
 //
 // Iteration count scales with COLGRAPH_DIFF_ITERS (per mode); the
 // acceptance run drives >= 100k sequences under ASan/UBSan in both modes.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -22,6 +27,8 @@
 #include "bitmap/ewah_bitmap.h"
 #include "bitmap/hybrid_bitmap.h"
 #include "bitmap/simd.h"
+#include "columnstore/column.h"
+#include "query/agg_fn.h"
 #include "util/random.h"
 
 namespace colgraph {
@@ -262,6 +269,160 @@ TEST(BitmapDifferentialTest, SimdAndScalarBytesIdentical) {
     }
     ASSERT_EQ(raw_simd, raw_scalar) << "iter=" << iter;
     ASSERT_EQ(inplace_simd, inplace_scalar) << "iter=" << iter;
+  }
+}
+
+// Popcount word kernels against per-bit references, in both modes.
+TEST(BitmapDifferentialTest, PopcountKernelsMatchBitLoops) {
+  Rng rng(64);
+  for (size_t iter = 0; iter < 40; ++iter) {
+    const Bitmap bits = ToPlain(RandomOracle(rng, RandomSize(rng)));
+    const std::vector<uint64_t>& words = bits.words();
+    size_t want_bits = 0;
+    size_t want_runs = 0;
+    std::vector<uint32_t> want_prefix;
+    bool prev = false;
+    for (size_t w = 0; w < words.size(); ++w) {
+      want_prefix.push_back(static_cast<uint32_t>(want_bits));
+      for (size_t b = 0; b < 64; ++b) {
+        const bool bit = ((words[w] >> b) & 1) != 0;
+        want_bits += bit ? 1 : 0;
+        want_runs += bit && !prev ? 1 : 0;
+        prev = bit;
+      }
+    }
+    for (const bool force : {false, true}) {
+      ScopedForceScalar mode(force);
+      SCOPED_TRACE("iter=" + std::to_string(iter) +
+                   (force ? " (portable)" : " (dispatch)"));
+      ASSERT_EQ(simd::CountWords(words.data(), words.size()), want_bits);
+      std::vector<uint32_t> prefix(words.size());
+      ASSERT_EQ(simd::RankPrefix(words.data(), words.size(), prefix.data()),
+                want_bits);
+      ASSERT_EQ(prefix, want_prefix);
+      const simd::BitsAndRuns stats =
+          simd::CountBitsAndRuns(words.data(), words.size());
+      ASSERT_EQ(stats.bits, want_bits);
+      ASSERT_EQ(stats.runs, want_runs);
+      ASSERT_EQ(bits.Count(), want_bits);
+      ASSERT_EQ(EwahBitmap::FromBitmap(bits).Count(), want_bits);
+    }
+  }
+}
+
+// A sealed measure column over `size` records with presence density
+// `density` (1.0 = every record). Values include -0.0 so the byte
+// comparisons below see sign bits.
+MeasureColumn RandomMeasureColumn(Rng& rng, size_t size, double density) {
+  MeasureColumn col;
+  for (size_t r = 0; r < size; ++r) {
+    if (density < 1.0 && !rng.Bernoulli(density)) continue;
+    const double v = rng.Bernoulli(0.05)
+                         ? -0.0
+                         : rng.UniformReal(-1000.0, 1000.0);
+    EXPECT_TRUE(col.Append(r, v).ok());
+  }
+  col.Seal(size);
+  return col;
+}
+
+// Ascending record lists to select: the word-edge records, every record,
+// and random subsets that mix NULL and present cells.
+std::vector<std::vector<uint64_t>> SelectionsFor(Rng& rng, size_t size) {
+  std::vector<std::vector<uint64_t>> out;
+  out.push_back({0, 63, 64, size - 1});
+  std::vector<uint64_t> all(size);
+  for (size_t r = 0; r < size; ++r) all[r] = r;
+  out.push_back(all);
+  for (const double keep : {0.5, 0.01}) {
+    std::vector<uint64_t> some;
+    for (size_t r = 0; r < size; ++r) {
+      if (rng.Bernoulli(keep)) some.push_back(r);
+    }
+    out.push_back(std::move(some));
+  }
+  return out;
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Gather and FoldInto must be byte-identical to the per-cell Get loops
+// they replace, at every presence density, for rebased (tail) record ids,
+// and under both dispatch paths.
+TEST(BitmapDifferentialTest, SelectKernelsMatchPerCellGet) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr size_t kSize = 9001;  // unaligned tail word
+  Rng rng(1014);
+  for (const double density : {0.0, 1.0 / 1000, 1.0 / 64, 0.5, 1.0}) {
+    const MeasureColumn col = RandomMeasureColumn(rng, kSize, density);
+    for (const std::vector<uint64_t>& local : SelectionsFor(rng, kSize)) {
+      for (const size_t base : {size_t{0}, size_t{123457}}) {
+        std::vector<uint64_t> records;
+        for (const uint64_t r : local) records.push_back(r + base);
+        SCOPED_TRACE("density=" + std::to_string(density) +
+                     " n=" + std::to_string(records.size()) +
+                     " base=" + std::to_string(base));
+
+        std::vector<double> want;
+        for (const uint64_t r : local) {
+          const auto v = col.Get(r);
+          want.push_back(v.has_value() ? *v : kNaN);
+        }
+        for (const AggFn fn : {AggFn::kSum, AggFn::kCount, AggFn::kMin,
+                               AggFn::kMax, AggFn::kAvg}) {
+          for (const size_t view_elements : {size_t{0}, size_t{3}}) {
+            // Reference: two folds per record, the second on top of the
+            // first, exactly as a path folds consecutive segments.
+            std::vector<double> want_fold;
+            std::vector<double> want_count;
+            for (const uint64_t r : local) {
+              AggAccumulator acc(fn);
+              for (int k = 0; k < 2; ++k) {
+                const auto v = col.Get(r);
+                if (!v.has_value()) continue;
+                if (view_elements == 0) {
+                  acc.Add(*v);
+                } else {
+                  acc.Merge(*v, view_elements);
+                }
+              }
+              want_fold.push_back(acc.Result());
+              want_count.push_back(static_cast<double>(acc.count()));
+            }
+            for (const bool force : {false, true}) {
+              ScopedForceScalar mode(force);
+              std::vector<AggAccumulator> accs(records.size(),
+                                               AggAccumulator(fn));
+              for (int k = 0; k < 2; ++k) {
+                col.FoldInto(records.data(), records.size(), base,
+                             view_elements, accs.data());
+              }
+              std::vector<double> got_fold;
+              std::vector<double> got_count;
+              for (const AggAccumulator& acc : accs) {
+                got_fold.push_back(acc.Result());
+                got_count.push_back(static_cast<double>(acc.count()));
+              }
+              ASSERT_TRUE(SameBytes(got_fold, want_fold))
+                  << AggFnName(fn) << " view_elements=" << view_elements
+                  << (force ? " (portable)" : " (dispatch)");
+              ASSERT_TRUE(SameBytes(got_count, want_count));
+            }
+          }
+        }
+        for (const bool force : {false, true}) {
+          ScopedForceScalar mode(force);
+          std::vector<double> got(records.size(), 1.0);
+          col.Gather(records.data(), records.size(), base, got.data());
+          ASSERT_TRUE(SameBytes(got, want))
+              << (force ? "portable" : "dispatch");
+        }
+      }
+    }
   }
 }
 

@@ -18,9 +18,11 @@
 #include <unistd.h>
 
 #include "core/engine.h"
+#include "obs/request_context.h"
 #include "obs/slow_query_log.h"
 #include "server/client.h"
 #include "server/daemon.h"
+#include "server/net_socket.h"
 #include "server/protocol.h"
 #include "util/status.h"
 #include "util/sync.h"
@@ -127,6 +129,28 @@ TEST_F(RequestTraceTest, SlowRequestIsAttributableEndToEnd) {
   EXPECT_TRUE(HasSpan(*mine, "write"));
   // ...joined with engine phases in the same record.
   EXPECT_TRUE(HasSpan(*mine, "bitmap_and"));
+}
+
+TEST_F(RequestTraceTest, CleanCloseAtRequestBoundaryRecordsNoDecodeSample) {
+  // One request per connection, as the command-line client sends them:
+  // each connection adds exactly one decode sample. The close after the
+  // response ends the connection; it is not the start of a request.
+  obs::LatencyHistogram& decode =
+      obs::ServerPhaseHistogram(obs::ServerPhase::kDecode);
+  const uint64_t before = decode.count();
+  constexpr uint64_t kConnections = 5;
+  for (uint64_t i = 0; i < kConnections; ++i) {
+    Client client = MakeClient(i + 1);
+    const auto response = client.Query("[1,2,3]");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    ASSERT_TRUE(response->ok()) << response->body;
+  }  // each client closes its connection here
+  // Let the workers read the EOFs before draining: a draining worker
+  // leaves its idle loop without reading, which would hide a sample
+  // recorded at EOF.
+  SleepMs(100);
+  ASSERT_TRUE(daemon_->Drain().ok());
+  EXPECT_EQ(decode.count() - before, kConnections);
 }
 
 TEST_F(RequestTraceTest, UntracedRequestsCarryNoTraceExtension) {
